@@ -10,11 +10,19 @@
 //   HS_UPDATE_GOLDEN=1 ./build/exp_golden_grid_test
 //
 // then commit the updated CSV alongside the change that moved it.
+//
+// A second fixture, tests/golden/policy_grid_aimix.csv, locks every
+// registered mechanism under all six ordering policies on the AI-swarm
+// `aimix` preset (1 week, seed 1) plus one static-partition cell per
+// policy, so waiting-queue ordering — including the partition-only path —
+// is pinned for every policy, not only FCFS. It refreshes with the same
+// HS_UPDATE_GOLDEN=1 command.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <sstream>
 
+#include "core/mechanism.h"
 #include "exp/runner.h"
 #include "util/file_util.h"
 #include "util/thread_pool.h"
@@ -104,6 +112,77 @@ TEST(GoldenGridTest, FixtureShapeIsLocked) {
   EXPECT_NE(lines[0].find("decisions"), std::string::npos);
   for (const char* mechanism : kOriginalMechanisms) {
     EXPECT_NE(golden.find(mechanism), std::string::npos) << mechanism;
+  }
+}
+
+constexpr const char* kPolicies[] = {
+    "FCFS", "SJF", "LJF", "SmallestFirst", "LargestFirst", "WFP3",
+};
+
+std::string PolicyGridPath() {
+  return std::string(HS_SOURCE_DIR) + "/tests/golden/policy_grid_aimix.csv";
+}
+
+/// Policy-major: per policy every registered mechanism on `aimix`, then a
+/// `partition=256` cell (the dedicated-cluster comparator, whose on-demand
+/// jobs wait as partition-only queue entries).
+std::vector<SimSpec> PolicyGridSpecs() {
+  std::vector<SimSpec> specs;
+  for (const char* policy : kPolicies) {
+    for (const std::string& mechanism : MechanismNames()) {
+      specs.push_back(SimSpec::Parse(mechanism + "/" + policy + "/W5/preset=aimix"));
+    }
+    specs.push_back(
+        SimSpec::Parse(std::string("baseline/") + policy + "/W5/preset=aimix/partition=256"));
+  }
+  return specs;
+}
+
+std::string GenerateCsv(const std::vector<SimSpec>& specs) {
+  std::ostringstream out;
+  CsvResultSink csv(out, {.include_wallclock = false});
+  MergingResultSink merged(csv, specs.size());
+  ThreadPool pool;
+  ExperimentRunner runner(pool);
+  runner.Run(specs, &merged);
+  merged.Finish();
+  return out.str();
+}
+
+TEST(GoldenGridTest, PolicyGridMatchesCommittedFixture) {
+  const std::string generated = GenerateCsv(PolicyGridSpecs());
+  if (std::getenv("HS_UPDATE_GOLDEN") != nullptr) {
+    WriteTextFile(PolicyGridPath(), generated);
+    std::printf("refreshed %s (%zu bytes)\n", PolicyGridPath().c_str(), generated.size());
+  }
+  const std::string golden = ReadTextFile(PolicyGridPath());
+  if (generated == golden) return;
+  const auto got = SplitLines(generated);
+  const auto want = SplitLines(golden);
+  EXPECT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "first drift at line " << (i + 1) << " of "
+                               << PolicyGridPath()
+                               << "\nIf intentional, refresh with HS_UPDATE_GOLDEN=1.";
+  }
+  FAIL() << "generated CSV and fixture differ in length";
+}
+
+TEST(GoldenGridTest, PolicyGridShapeIsLocked) {
+  const std::string golden = ReadTextFile(PolicyGridPath());
+  const auto lines = SplitLines(golden);
+  const std::size_t mechanisms = MechanismNames().size();
+  // Header + 6 policies x (every mechanism + one partition cell).
+  ASSERT_EQ(lines.size(), 1 + 6 * (mechanisms + 1));
+  EXPECT_EQ(lines[0].rfind("spec,trace,mechanism,", 0), 0u) << lines[0];
+  EXPECT_EQ(lines[0].find("decision_avg_us"), std::string::npos);
+  for (const char* policy : kPolicies) {
+    EXPECT_NE(golden.find(std::string("baseline/") + policy + "/W5/preset=aimix/partition=256"),
+              std::string::npos)
+        << policy;
+  }
+  for (const std::string& mechanism : MechanismNames()) {
+    EXPECT_NE(golden.find(mechanism + "/WFP3/W5/preset=aimix"), std::string::npos) << mechanism;
   }
 }
 
