@@ -169,12 +169,12 @@ void FillQueue(QueueManager& queue, const std::vector<JobRecord>& records) {
 /// Repeated Ordered() views over a static queue (the quiescent-pass shape:
 /// many passes between queue edits). Returns ordering calls performed.
 std::int64_t QueueOrderHot(const std::vector<JobRecord>& records, int calls) {
-  QueueManager queue;
-  FillQueue(queue, records);
   const auto policy = MakePolicy("SJF");
+  QueueManager queue(*policy);
+  FillQueue(queue, records);
   std::int64_t sink = 0;
   for (int i = 0; i < calls; ++i) {
-    const auto view = queue.Ordered(*policy, /*now=*/i);
+    const auto view = queue.Ordered(/*now=*/i);
     sink += static_cast<std::int64_t>(view.size());
   }
   return sink == -1 ? 0 : calls;
@@ -183,9 +183,9 @@ std::int64_t QueueOrderHot(const std::vector<JobRecord>& records, int calls) {
 /// Ordered() with queue churn between calls (arrivals + starts): each
 /// iteration removes and re-adds a pair of jobs first.
 std::int64_t QueueOrderChurn(const std::vector<JobRecord>& records, int calls) {
-  QueueManager queue;
-  FillQueue(queue, records);
   const auto policy = MakePolicy("SJF");
+  QueueManager queue(*policy);
+  FillQueue(queue, records);
   const int n = static_cast<int>(records.size());
   std::int64_t sink = 0;
   for (int i = 0; i < calls; ++i) {
@@ -197,7 +197,7 @@ std::int64_t QueueOrderChurn(const std::vector<JobRecord>& records, int calls) {
       WaitingJob wb = queue.Remove(b);
       queue.Add(wb);
     }
-    const auto view = queue.Ordered(*policy, /*now=*/i);
+    const auto view = queue.Ordered(/*now=*/i);
     sink += static_cast<std::int64_t>(view.size());
   }
   return sink == -1 ? 0 : calls;

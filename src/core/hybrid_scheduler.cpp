@@ -200,16 +200,15 @@ void HybridScheduler::OnSubmitEvent(JobId id, SimTime now) {
     // Dedicated-cluster comparator: the job runs inside the partition
     // (unless it does not fit there at all, in which case it falls back to
     // the shared batch queue like any other job).
-    engine_.EnqueueFresh(id, now, /*boosted=*/false);
-    if (rec.size <= config_.static_od_partition) {
-      // Same-tick batch admission: the job is only marked here; the one
-      // TryStartPartitionJobs call in OnQuiescent admits the whole tick's
-      // arrivals in a single FIFO walk. Decisions are unchanged — the
-      // partition queue is FIFO, finishes (which grow the idle set) sort
-      // before submits within a tick, and OnQuiescent runs before the
-      // clock advances — so N same-tick submits cost one walk, not N.
-      engine_.queue().FindMutable(id)->partition_only = true;
-    }
+    //
+    // Same-tick batch admission: a partition job is only queued here; the
+    // one TryStartPartitionJobs call in OnQuiescent admits the whole tick's
+    // arrivals in a single FIFO walk. Decisions are unchanged — the
+    // partition queue is FIFO, finishes (which grow the idle set) sort
+    // before submits within a tick, and OnQuiescent runs before the clock
+    // advances — so N same-tick submits cost one walk, not N.
+    engine_.EnqueueFresh(id, now, /*boosted=*/false,
+                         /*partition_only=*/rec.size <= config_.static_od_partition);
     return;
   }
   if (rec.is_on_demand() && !mech_.baseline) {
@@ -409,11 +408,10 @@ void HybridScheduler::BackfillOnReserved(SimTime now) {
     std::vector<int> idle = engine_.cluster().ReservedIdleNodes(r.od);
     if (idle.empty()) continue;
     const SimTime window = r.predicted_arrival - now;
-    // Scan the queue in policy order; place jobs that provably finish before
-    // the owner's predicted arrival. Reusing the engine's policy instance
-    // means this view comes straight from the queue's ordered cache when the
-    // scheduling pass above already built it.
-    for (const WaitingJob* w : engine_.queue().Ordered(engine_.policy(), now)) {
+    // Scan the queue in policy order (a copy of the queue's maintained
+    // view); place jobs that provably finish before the owner's predicted
+    // arrival.
+    for (const WaitingJob* w : engine_.queue().Ordered(now)) {
       if (idle.empty()) break;
       if (w->boosted) continue;  // never divert a waiting on-demand job
       if (engine_.cluster().ReservedIdleCount(w->id) > 0) continue;  // lender hold

@@ -34,6 +34,7 @@ ExecutionEngine::ExecutionEngine(const Trace& trace, const EngineConfig& config,
       sim_(&sim),
       cluster_(trace.num_nodes),
       policy_(MakePolicy(config.policy)),
+      queue_(*policy_),
       ckpt_(config.checkpoint),
       failure_rng_(config.failure_seed) {}
 
@@ -44,8 +45,8 @@ ExecutionEngine::ExecutionEngine(const ExecutionEngine& other, const Trace& trac
       collector_(&collector),
       sim_(&sim),
       cluster_(other.cluster_),
-      queue_(other.queue_),
       policy_(MakePolicy(other.config_.policy)),
+      queue_(other.queue_, *policy_),
       ckpt_(other.ckpt_),
       failure_rng_(other.failure_rng_),
       running_(other.running_),
@@ -90,7 +91,8 @@ std::vector<JobId> ExecutionEngine::RunningIds() const {
   return ids;
 }
 
-void ExecutionEngine::EnqueueFresh(JobId id, SimTime now, bool boosted) {
+void ExecutionEngine::EnqueueFresh(JobId id, SimTime now, bool boosted,
+                                   bool partition_only) {
   const JobRecord& rec = record(id);
   WaitingJob w;
   w.id = id;
@@ -103,6 +105,7 @@ void ExecutionEngine::EnqueueFresh(JobId id, SimTime now, bool boosted) {
   w.est_work_remaining =
       static_cast<std::int64_t>(rec.estimate - rec.setup_time) * rec.size;
   w.boosted = boosted;
+  w.partition_only = partition_only;
   w.flexible = rec.is_malleable() && config_.malleable_flexible;
   collector_->OnSubmit(rec, now);
   queue_.Add(std::move(w));
@@ -525,9 +528,9 @@ int ExecutionEngine::RunSchedulingPass(SimTime now) {
       pass_avail_epoch_ == avail_.epoch() && now < pass_next_step_) {
     return 0;
   }
-  // The eligible view is a reference into the queue's cache: planning reads
-  // it to completion before any start mutates the queue.
-  const std::vector<const WaitingJob*>& queue = queue_.OrderedEligible(*policy_, now);
+  // The eligible view is a reference to the queue's maintained view:
+  // planning reads it to completion before any start mutates the queue.
+  const std::vector<const WaitingJob*>& queue = queue_.OrderedEligible(now);
   const EnginePassEnv env(*this);
   const BackfillResult result =
       PlanBackfill(cluster_.free_count(), now, avail_, queue, env);

@@ -109,17 +109,17 @@ class ExecutionEngine {
   const JobRecord& record(JobId id) const { return trace_->jobs[static_cast<std::size_t>(id)]; }
   Cluster& cluster() { return cluster_; }
   const Cluster& cluster() const { return cluster_; }
+  /// The waiting queue, kept in the order of the engine's policy.
   QueueManager& queue() { return queue_; }
-  /// The engine's ordering-policy instance (shared so owners reuse the
-  /// queue's cached ordered view instead of instantiating policy copies).
-  const OrderingPolicy& policy() const { return *policy_; }
   const EngineConfig& config() const { return config_; }
   const CheckpointModel& checkpoint_model() const { return ckpt_; }
 
   // --- queue side ----------------------------------------------------------
 
-  /// Fresh submission (the JobSubmit event).
-  void EnqueueFresh(JobId id, SimTime now, bool boosted = false);
+  /// Fresh submission (the JobSubmit event). `partition_only` queues the
+  /// job for the static on-demand partition only (the batch pass skips it).
+  void EnqueueFresh(JobId id, SimTime now, bool boosted = false,
+                    bool partition_only = false);
 
   /// Re-queues a previously preempted execution.
   void EnqueueResubmission(WaitingJob waiting, SimTime now);
@@ -210,12 +210,14 @@ class ExecutionEngine {
   /// One EASY pass over the free pool: starts whatever fits, reserves for
   /// the head job. Returns the number of jobs started.
   ///
-  /// The pass plans against the incrementally-maintained availability
-  /// profile (no per-pass RunningView snapshot or sort), and skips itself
-  /// entirely when it is provably idempotent: the previous pass planned
-  /// zero starts, the policy order cannot drift with the clock, none of
-  /// the pass's inputs (cluster, queue, profile — each epoch-tracked) has
-  /// changed, and the clock has not crossed a profile step. Decisions are
+  /// The pass reads the queue's eligible view, which Add and Remove keep in
+  /// policy order in place (no per-pass copy or sort), plans against the
+  /// incrementally-maintained availability profile (no per-pass
+  /// RunningView snapshot or sort), and skips itself entirely when it is
+  /// provably idempotent: the previous pass planned zero starts, the policy
+  /// order cannot drift with the clock, none of the pass's inputs (cluster,
+  /// queue, profile — each epoch-tracked) has changed, and the clock has
+  /// not crossed a profile step. Decisions are
   /// byte-identical to the legacy recompute-from-scratch pass.
   int RunSchedulingPass(SimTime now);
 
@@ -276,8 +278,8 @@ class ExecutionEngine {
   Collector* collector_;
   Simulator* sim_;
   Cluster cluster_;
+  std::unique_ptr<OrderingPolicy> policy_;  // the one policy queue_ orders by
   QueueManager queue_;
-  std::unique_ptr<OrderingPolicy> policy_;
   CheckpointModel ckpt_;
   Rng failure_rng_;
   std::unordered_map<JobId, RunningJob> running_;

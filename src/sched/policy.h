@@ -52,9 +52,9 @@ class OrderingPolicy {
   /// Smaller keys schedule earlier. `now` feeds wait-time-aware policies.
   virtual double Key(const WaitingJob& job, SimTime now) const = 0;
   /// True when Key() ignores `now` (a pure function of the job). Lets
-  /// QueueManager reuse a cached ordered view across scheduling passes at
+  /// QueueManager keep its maintained order across scheduling passes at
   /// different times; wait-aware policies (e.g. WFP3) keep the conservative
-  /// default and re-sort whenever the clock has advanced.
+  /// default and are re-sorted whenever the clock has advanced.
   virtual bool time_invariant() const { return false; }
 };
 

@@ -1,17 +1,20 @@
 // Waiting-queue container: insertion, removal, and policy-ordered views.
 //
-// Ordered() is the scheduler's per-pass hot path, so the sorted view is
-// cached instead of rebuilt every call: every mutation that can change
-// ordering inputs (Add, Remove, FindMutable — callers flip `boosted` /
-// `partition_only` through it) bumps an epoch, and Ordered() re-sorts only
-// when the epoch, the policy, or (for wait-aware policies) the clock has
-// moved since the cached view was built. The comparator is a total order
-// (ties end at the unique job id), so a cached view is bit-identical to a
-// fresh sort.
+// The queue is bound to one OrderingPolicy (the engine's) and keeps its
+// entries in that policy's order as it changes, in two disjoint views: the
+// batch-eligible entries (the scheduling pass's per-pass input) and the
+// partition-only ones. Add inserts an entry at its sorted position in its
+// view and Remove erases it there (a binary search on the comparator), so
+// no pass copies or sorts the queue; Ordered() merges the two views. The
+// order is (boosted first, policy key, first_submit, id): a total order,
+// ties ending at the unique job id, so the maintained views are
+// bit-identical to a fresh sort. A full sort is left only where no
+// maintained order exists yet: when a copy builds its views over its own
+// entries, and when a wait-aware policy (not time_invariant(), e.g. WFP3)
+// is asked for its order at a clock the views were not sorted at.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -21,81 +24,86 @@ namespace hs {
 
 class QueueManager {
  public:
-  QueueManager() = default;
+  /// Binds the queue to `policy`, which must outlive it.
+  explicit QueueManager(const OrderingPolicy& policy) : policy_(&policy) {}
 
-  // Copying is part of the session-fork contract: the entries and the epoch
-  // transfer, the ordered-view cache does not (its pointers target the
-  // source's map nodes), so the copy rebuilds it on first Ordered() call —
-  // bit-identical to the source's view, the comparator being a total order.
-  QueueManager(const QueueManager& other) : jobs_(other.jobs_), epoch_(other.epoch_) {}
-  QueueManager& operator=(const QueueManager& other) {
-    jobs_ = other.jobs_;
-    epoch_ = other.epoch_;
-    cache_.clear();
-    cache_valid_ = false;
-    eligible_cache_.clear();
-    eligible_valid_ = false;
-    return *this;
-  }
+  /// Copies the entries and the epoch, bound to `policy` (the session-fork
+  /// path: a forked engine owns its own policy instance). The views are
+  /// rebuilt with one sort over the copy's own entries — bit-identical to
+  /// the source's, the comparator being a total order.
+  QueueManager(const QueueManager& other, const OrderingPolicy& policy);
+  QueueManager(const QueueManager& other) : QueueManager(other, *other.policy_) {}
+  QueueManager& operator=(const QueueManager&) = delete;
 
   /// Points every entry's `record` at the matching JobRecord in `jobs`
   /// (indexed by id). Used after a fork deep-copies the trace the records
   /// lived in; ordering inputs are unchanged, so the epoch stays put.
   void RebindRecords(const std::vector<JobRecord>& jobs);
 
+  /// Inserts the entry at its ordered position; throws on a duplicate id.
+  /// `boosted` and `partition_only` are ordering inputs, so they are set
+  /// before the Add and never edited in place.
   void Add(WaitingJob job);
   /// Removes and returns the entry; throws if absent.
   WaitingJob Remove(JobId id);
   bool Contains(JobId id) const;
   const WaitingJob* Find(JobId id) const;
-  /// Mutable lookup. Conservatively invalidates the ordered-view cache:
-  /// callers use it to edit fields the ordering depends on.
-  WaitingJob* FindMutable(JobId id);
 
   std::size_t size() const { return jobs_.size(); }
   bool empty() const { return jobs_.empty(); }
 
-  /// Bumped by every mutation that can change ordering inputs; schedulers
-  /// key their own pass caches on it (paired with the cluster and
-  /// availability-profile epochs).
+  /// Bumped by every Add and Remove; schedulers key their own pass caches
+  /// on it (paired with the cluster and availability-profile epochs).
   std::uint64_t epoch() const { return epoch_; }
 
-  /// Entries ordered by (boosted first, policy key, first_submit, id).
-  /// Served from the epoch-keyed cache when nothing relevant changed; the
-  /// returned vector is the caller's own copy, safe across queue edits.
-  std::vector<const WaitingJob*> Ordered(const OrderingPolicy& policy, SimTime now) const;
+  /// Entries ordered by (boosted first, policy key at `now`, first_submit,
+  /// id). The returned vector is the caller's own copy, safe across queue
+  /// edits.
+  std::vector<const WaitingJob*> Ordered(SimTime now);
 
-  /// Ordered() minus partition_only entries — the scheduling pass's view —
-  /// filtered once per cache refresh instead of per pass. Returns a
-  /// reference into the cache: valid only until the next queue mutation,
-  /// so callers must finish reading before starting/removing jobs.
-  const std::vector<const WaitingJob*>& OrderedEligible(const OrderingPolicy& policy,
-                                                        SimTime now) const;
+  /// Ordered() minus partition_only entries — the scheduling pass's view.
+  /// Returns a reference to the maintained view: valid only until the next
+  /// queue mutation, so callers must finish reading before starting or
+  /// removing jobs.
+  const std::vector<const WaitingJob*>& OrderedEligible(SimTime now);
 
   /// Unordered view (iteration for metrics/tests).
   std::vector<const WaitingJob*> All() const;
 
  private:
-  /// Refreshes the ordered cache if stale; returns it.
-  const std::vector<const WaitingJob*>& EnsureOrdered(const OrderingPolicy& policy,
-                                                      SimTime now) const;
+  /// The queue order under the bound policy's keys at `order_now_`.
+  bool Before(const WaitingJob* a, const WaitingJob* b) const;
+  struct Less {
+    const QueueManager* queue;
+    bool operator()(const WaitingJob* a, const WaitingJob* b) const {
+      return queue->Before(a, b);
+    }
+  };
+  /// The view `job` belongs in: partition_ or eligible_.
+  std::vector<const WaitingJob*>& ViewOf(const WaitingJob& job);
+  void Insert(std::vector<const WaitingJob*>& view, const WaitingJob* entry) const;
+  void Erase(std::vector<const WaitingJob*>& view, const WaitingJob* entry) const;
+  /// Re-sorts both views with the keys taken at `now`.
+  void SortAt(SimTime now);
+  /// Brings the views to `now`: a no-op unless the policy is wait-aware
+  /// and the clock moved since the last sort.
+  void AdvanceClock(SimTime now);
+  /// Debug invariant: both views sorted under Before(), holding exactly
+  /// the entries of their kind, and together as many as the map.
+  bool ViewsConsistent() const;
 
+  const OrderingPolicy* policy_;
   std::unordered_map<JobId, WaitingJob> jobs_;
-
-  // Ordered-view cache. Entry pointers stay valid across map churn
-  // (unordered_map nodes are stable) and any churn bumps epoch_, so a
-  // cache hit never dereferences a removed entry.
   std::uint64_t epoch_ = 0;
-  mutable std::vector<const WaitingJob*> cache_;
-  mutable std::uint64_t cache_epoch_ = 0;
-  mutable bool cache_valid_ = false;
-  mutable std::string cache_policy_;
-  mutable bool cache_time_invariant_ = false;
-  mutable SimTime cache_now_ = 0;
-  // Eligible (non-partition_only) projection of cache_; rebuilt lazily
-  // after every cache_ refresh.
-  mutable std::vector<const WaitingJob*> eligible_cache_;
-  mutable bool eligible_valid_ = false;
+
+  // The non-partition_only and the partition_only entries, each in Before()
+  // order. Entry pointers stay valid across map churn (unordered_map nodes
+  // are stable); Remove erases an entry's pointer before its node.
+  std::vector<const WaitingJob*> eligible_;
+  std::vector<const WaitingJob*> partition_;
+  // The clock the views' keys were taken at. Only wait-aware policies read
+  // it; for time-invariant ones the order holds at every clock.
+  SimTime order_now_ = 0;
 };
 
 }  // namespace hs
