@@ -32,7 +32,8 @@ class QueueManager {
   /// rebuilt with one sort over the copy's own entries — bit-identical to
   /// the source's, the comparator being a total order.
   QueueManager(const QueueManager& other, const OrderingPolicy& policy);
-  QueueManager(const QueueManager& other) : QueueManager(other, *other.policy_) {}
+  // A plain copy would keep view pointers into the source's entries.
+  QueueManager(const QueueManager&) = delete;
   QueueManager& operator=(const QueueManager&) = delete;
 
   /// Points every entry's `record` at the matching JobRecord in `jobs`
